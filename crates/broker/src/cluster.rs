@@ -861,7 +861,8 @@ impl Cluster {
                     }
                 }
             }
-            let (base, leader_ticket) = leader_log.append_deferred(batch.as_ref(), now)?;
+            let appended = leader_log.append_deferred(batch.as_ref(), now, !followers.is_empty())?;
+            let (base, leader_ticket) = (appended.base, appended.ticket);
             // record the window (and transactional metadata) while the
             // lock is still held: a retry racing this produce must see it
             if let Some(stamp) = batch.producer {
@@ -886,9 +887,7 @@ impl Cluster {
             // FIFO executors then apply follower appends in
             // leader-append order, so concurrent producers cannot
             // diverge a replica.
-            let replies = if followers.is_empty() {
-                None
-            } else {
+            let replies = if let Some(run) = appended.run {
                 let (reply_tx, reply_rx) = reply_channel(followers.len());
                 for follower in &followers {
                     self.inner.replication.submit(
@@ -897,6 +896,7 @@ impl Cluster {
                             leader,
                             topic: topic.to_string(),
                             partition,
+                            run: Arc::clone(&run),
                             batch: Arc::clone(batch),
                             now,
                             follower_epoch: self.broker_unchecked(*follower).epoch(),
@@ -905,6 +905,8 @@ impl Cluster {
                     );
                 }
                 Some(reply_rx)
+            } else {
+                None
             };
             break (
                 leader,

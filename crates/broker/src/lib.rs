@@ -68,7 +68,7 @@ pub use health::{
     PartitionHealth, PartitionRef, PartitionView,
 };
 pub use lag::{LagReport, LagTracker, PartitionLag};
-pub use log::{LogSnapshot, PartitionLog};
+pub use log::{DeferredAppend, LogSnapshot, PartitionLog, SealedRun};
 pub use mirror::{MirrorHandle, MirrorMaker};
 pub use record::{crc32c, ControlMarker, Crc32c, ProducerStamp, Record, RecordBatch, RecordEos};
 pub use index::SealedMeta;

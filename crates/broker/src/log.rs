@@ -18,6 +18,17 @@
 //! (DESIGN.md §11). Appends stay cheap because sealing a batch into a
 //! chunk moves the records; only republishing the *active* segment's
 //! chunk list is per-append work, and that is a pointer-vector clone.
+//!
+//! ## One append path
+//!
+//! Every append — a leader stamping a producer's batch, a learner
+//! copying another replica's records ([`PartitionLog::append_copied`]),
+//! a follower adopting its leader's append
+//! (`PartitionLog::append_replicated`) — lays records out as
+//! per-segment chunks, pushes them, and writes them through to the
+//! store. A follower takes the leader's chunks and encoded frames from
+//! its [`SealedRun`] instead of building its own, so replicas share
+//! record memory and store the same bytes.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,8 +41,8 @@ use octopus_types::{OctoError, OctoResult, Offset, Timestamp};
 use crate::config::{CleanupPolicy, RetentionConfig};
 use crate::record::{Record, RecordBatch};
 use crate::store::{
-    FlushPolicy, LazySegment, PartitionStore, RecoveredSegment, RecoveredSegments, RecoveryStats,
-    StoreMetrics, StoreOptions, SyncTicket,
+    EncodedBatch, FlushPolicy, LazySegment, PartitionStore, RecoveredSegment, RecoveredSegments,
+    RecoveryStats, StoreMetrics, StoreOptions, SyncTicket,
 };
 
 /// Default maximum segment size before rolling (1 MiB here; Kafka's
@@ -149,25 +160,6 @@ impl Segment {
         let mut seg = Segment::new(base_offset);
         seg.reset_records(records);
         seg
-    }
-
-    /// Seal `pending` into the chunk list. Small appends coalesce into
-    /// the previous chunk (bounded copy) to keep chunk counts low.
-    fn seal(&mut self, pending: &mut Vec<Record>) {
-        if pending.is_empty() {
-            return;
-        }
-        self.snap_cache = None;
-        if let Some(last) = self.chunks.last_mut() {
-            if last.len() < CHUNK_MERGE_BELOW {
-                let mut merged = Vec::with_capacity(last.len() + pending.len());
-                merged.extend_from_slice(last);
-                merged.append(pending);
-                *last = Arc::from(merged);
-                return;
-            }
-        }
-        self.chunks.push(Arc::from(std::mem::take(pending)));
     }
 
     /// All records as one contiguous run (cold paths that need a slice:
@@ -323,6 +315,103 @@ impl LogSnapshot {
 /// single publishing writer from being starved by a reader stampede —
 /// exactly the pattern a fetch-heavy partition produces.
 pub type SnapshotSlot = Arc<Mutex<Arc<LogSnapshot>>>;
+
+/// A run of records and the base offset of the segment it belongs to.
+type SegmentChunk = (Offset, Arc<[Record]>);
+
+/// What one leader append sealed into its log, in the form its
+/// followers adopt (`PartitionLog::append_replicated`): the record
+/// chunks it pushed, each with the base offset of the segment it landed
+/// in, and on durable logs the frames its store wrote. Followers share
+/// the chunks by `Arc` and write the frames' bytes unchanged, so the
+/// leader assigns offsets, computes CRCs, and compresses once.
+#[derive(Debug)]
+pub struct SealedRun {
+    /// Offset of the first appended record.
+    base: Offset,
+    /// Records appended.
+    count: usize,
+    /// `(segment base, chunk)` per segment the append touched. The
+    /// first chunk may begin before `base`: the append merged into the
+    /// segment's small last chunk.
+    chunks: Vec<SegmentChunk>,
+    /// One encoded batch per chunk on durable logs; empty on volatile.
+    encoded: Vec<EncodedBatch>,
+}
+
+impl SealedRun {
+    /// The appended records, in offset order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = &Record> {
+        self.chunks.iter().flat_map(|(_, c)| c.iter()).skip_while(|r| r.offset < self.base)
+    }
+}
+
+/// The outcome of [`PartitionLog::append_deferred`].
+#[derive(Debug)]
+pub struct DeferredAppend {
+    /// Offset assigned to the batch's first record.
+    pub base: Offset,
+    /// The fsync to wait on after releasing the log lock
+    /// ([`FlushPolicy::PerBatch`] only).
+    pub ticket: Option<SyncTicket>,
+    /// What followers adopt, when the caller asked for it.
+    pub run: Option<Arc<SealedRun>>,
+}
+
+/// Check records stamped elsewhere before they join a log: offsets
+/// dense from `base` and every record's CRC intact.
+fn check_stamped<'a>(records: impl Iterator<Item = &'a Record>, base: Offset) -> OctoResult<()> {
+    for (i, rec) in records.enumerate() {
+        if rec.offset != base + i as u64 {
+            return Err(OctoError::Invalid(format!(
+                "copied run not dense: expected offset {}, got {}",
+                base + i as u64,
+                rec.offset
+            )));
+        }
+        if !rec.verify() {
+            let msg = format!("copied record {} failed CRC check", rec.offset);
+            return Err(OctoError::Invalid(msg));
+        }
+    }
+    Ok(())
+}
+
+/// Write the records at `offset >= base` into `store` — the `encoded`
+/// frames as given (a leader's), else encoded here from `chunks` — then
+/// apply the flush policy, inline or as a deferred [`SyncTicket`].
+/// Returns the ticket and the frames encoded here.
+fn write_through(
+    store: &mut PartitionStore,
+    base: Offset,
+    chunks: &[SegmentChunk],
+    encoded: Option<&[EncodedBatch]>,
+    deferred: bool,
+) -> OctoResult<(Option<SyncTicket>, Vec<EncodedBatch>)> {
+    let mut kept = Vec::new();
+    match encoded {
+        Some(encoded) => {
+            for batch in encoded {
+                store.append_encoded(batch)?;
+            }
+        }
+        None => {
+            for (seg_base, chunk) in chunks {
+                let held = chunk.partition_point(|r| r.offset < base);
+                let batch = store.encode(&chunk[held..], *seg_base);
+                store.append_encoded(&batch)?;
+                kept.push(batch);
+            }
+        }
+    }
+    let ticket = if deferred {
+        store.commit_batch_ticket()?
+    } else {
+        store.commit_batch()?;
+        None
+    };
+    Ok((ticket, kept))
+}
 
 /// A segmented log for one partition: always present in memory (the
 /// fabric serves reads from the "page cache"), optionally backed by a
@@ -498,19 +587,27 @@ impl PartitionLog {
 
     /// Adopt another log's contents (ISR resync copying the leader).
     /// Keeps this log's own durable store, rewriting its files to match
-    /// the adopted snapshot.
+    /// the adopted snapshot: a byte copy of the source's files when the
+    /// source is durable too, so both replicas keep storing the same
+    /// bytes as later appends replicate.
     pub fn replace_from(&mut self, snapshot: &PartitionLog) -> OctoResult<()> {
         self.segments = snapshot.segments.clone();
         self.segment_bytes = snapshot.segment_bytes;
         self.log_start = snapshot.log_start;
         self.total_bytes = snapshot.total_bytes;
         if let Some(store) = self.store.as_mut() {
-            let runs: Vec<(Offset, Arc<[Record]>)> = self
-                .segments
-                .iter()
-                .map(|s| Ok((s.base_offset, s.contiguous()?)))
-                .collect::<OctoResult<_>>()?;
-            store.reset_with(runs.iter().map(|(base, recs)| (*base, &recs[..])))?;
+            match snapshot.store.as_ref() {
+                // replicas of one partition store the same bytes
+                Some(src) => store.copy_from(src)?,
+                // a volatile source has no bytes to copy: encode its records
+                None => {
+                    store.truncate_to(0)?;
+                    for seg in &self.segments {
+                        store.append_batch(&seg.contiguous()?, seg.base_offset)?;
+                    }
+                    store.sync()?;
+                }
+            }
         }
         self.publish();
         Ok(())
@@ -605,7 +702,7 @@ impl PartitionLog {
     /// inline before returning (an acked record is already fsynced under
     /// [`FlushPolicy::PerBatch`]).
     pub fn append(&mut self, batch: &RecordBatch, now: Timestamp) -> OctoResult<Offset> {
-        self.append_inner(batch, now, false).map(|(base, _)| base)
+        self.append_inner(batch, now, false, false).map(|a| a.base)
     }
 
     /// [`PartitionLog::append`], but under [`FlushPolicy::PerBatch`] the
@@ -616,12 +713,18 @@ impl PartitionLog {
     /// mutex. A failed `wait` means the batch reached the file but its
     /// durability is unconfirmed; callers surface the error and the
     /// producer retries (at-least-once).
+    ///
+    /// With `replicate` set (a leader with followers), the result also
+    /// carries the [`SealedRun`] the followers adopt: the record chunks
+    /// this append sealed and, on durable logs, the frames its store
+    /// wrote. Without it nothing beyond the append itself is built.
     pub fn append_deferred(
         &mut self,
         batch: &RecordBatch,
         now: Timestamp,
-    ) -> OctoResult<(Offset, Option<SyncTicket>)> {
-        self.append_inner(batch, now, true)
+        replicate: bool,
+    ) -> OctoResult<DeferredAppend> {
+        self.append_inner(batch, now, true, replicate)
     }
 
     fn append_inner(
@@ -629,15 +732,13 @@ impl PartitionLog {
         batch: &RecordBatch,
         now: Timestamp,
         deferred: bool,
-    ) -> OctoResult<(Offset, Option<SyncTicket>)> {
+        replicate: bool,
+    ) -> OctoResult<DeferredAppend> {
         if !batch.verify() {
             return Err(OctoError::Invalid("record batch failed CRC check".into()));
         }
         let base = self.end_offset();
-        // records sealed into the active segment's chunk list at each
-        // segment roll and at the end of the batch
-        let mut pending: Vec<Record> = Vec::with_capacity(batch.events.len());
-        for (i, event) in batch.events.iter().enumerate() {
+        let records = batch.events.iter().enumerate().map(|(i, event)| {
             let mut rec = Record {
                 offset: base + i as u64,
                 append_time: now,
@@ -655,45 +756,15 @@ impl PartitionLog {
                 }),
             };
             rec.crc = rec.compute_crc();
-            let size = rec.wire_size();
-            let roll = {
-                let seg = self.segments.last().expect("log always has a segment");
-                seg.record_count > 0 && seg.size_bytes + size > self.segment_bytes
-            };
-            if roll {
-                let seg = self.segments.last_mut().expect("nonempty");
-                seg.seal(&mut pending);
-                let next = seg.next_offset();
-                self.segments.push(Segment::new(next));
-            }
-            let seg = self.segments.last_mut().expect("nonempty");
-            seg.size_bytes += size;
-            seg.max_timestamp = seg.max_timestamp.max(rec.append_time);
-            seg.record_count += 1;
-            seg.snap_cache = None;
-            pending.push(rec);
-            self.total_bytes += size;
-        }
-        self.segments.last_mut().expect("nonempty").seal(&mut pending);
-        let mut ticket = None;
-        if self.store.is_some() {
-            match self.write_through(base, deferred) {
-                Ok(t) => ticket = t,
-                Err(e) => {
-                    // disk refused the batch: roll the in-memory tail
-                    // back so RAM never claims records the store could
-                    // not keep
-                    self.truncate_from_offset(base);
-                    if let Some(store) = self.store.as_mut() {
-                        let _ = store.truncate_to(base);
-                    }
-                    self.publish();
-                    return Err(e);
-                }
-            }
-        }
-        self.publish();
-        Ok((base, ticket))
+            rec
+        });
+        let chunks = self.layout(records);
+        self.push_stamped(&chunks);
+        let (ticket, encoded) = self.persist(base, &chunks, None, deferred)?;
+        let run = replicate.then(|| {
+            Arc::new(SealedRun { base, count: batch.events.len(), chunks, encoded })
+        });
+        Ok(DeferredAppend { base, ticket, run })
     }
 
     /// Append records copied verbatim from another replica (reassignment
@@ -708,6 +779,12 @@ impl PartitionLog {
     /// dropped the front; the learner starts at the leader's start
     /// offset). Durable logs write through inline — catch-up traffic is
     /// throttled anyway, so it never rides the group-commit path.
+    ///
+    /// This is the verbatim path a follower's replicated append
+    /// (`PartitionLog::append_replicated`) shares: the same CRC and
+    /// density check, chunk push, and write-through. Only the layout
+    /// differs: copied records roll by this log's own segment size,
+    /// replicated ones at the leader's segment bases.
     pub fn append_copied(&mut self, records: &[Record]) -> OctoResult<Offset> {
         let Some(first) = records.first() else { return Ok(self.end_offset()) };
         if self.is_empty() && first.offset > self.end_offset() {
@@ -722,82 +799,171 @@ impl PartitionLog {
                 latest: base,
             });
         }
-        let mut pending: Vec<Record> = Vec::with_capacity(records.len());
-        for (i, rec) in records.iter().enumerate() {
-            if rec.offset != base + i as u64 {
-                return Err(OctoError::Invalid(format!(
-                    "copied run not dense: expected offset {}, got {}",
-                    base + i as u64,
-                    rec.offset
-                )));
-            }
-            if !rec.verify() {
-                return Err(OctoError::Invalid(format!(
-                    "copied record {} failed CRC check",
-                    rec.offset
-                )));
-            }
-            let size = rec.wire_size();
-            let roll = {
-                let seg = self.segments.last().expect("log always has a segment");
-                seg.record_count > 0 && seg.size_bytes + size > self.segment_bytes
-            };
-            if roll {
-                let seg = self.segments.last_mut().expect("nonempty");
-                seg.seal(&mut pending);
-                let next = seg.next_offset();
-                self.segments.push(Segment::new(next));
-            }
-            let seg = self.segments.last_mut().expect("nonempty");
-            seg.size_bytes += size;
-            seg.max_timestamp = seg.max_timestamp.max(rec.append_time);
-            seg.record_count += 1;
-            seg.snap_cache = None;
-            pending.push(rec.clone());
-            self.total_bytes += size;
-        }
-        self.segments.last_mut().expect("nonempty").seal(&mut pending);
-        if self.store.is_some() {
-            if let Err(e) = self.write_through(base, false) {
-                self.truncate_from_offset(base);
-                if let Some(store) = self.store.as_mut() {
-                    let _ = store.truncate_to(base);
-                }
-                self.publish();
-                return Err(e);
-            }
-        }
-        self.publish();
+        check_stamped(records.iter(), base)?;
+        let chunks = self.layout(records.iter().cloned());
+        self.push_stamped(&chunks);
+        self.persist(base, &chunks, None, false)?;
         Ok(base)
     }
 
-    /// Persist every record at `offset >= from` to the store, mirroring
-    /// the in-memory segment layout, then apply the flush policy —
-    /// inline, or as a deferred [`SyncTicket`] under `PerBatch`.
-    fn write_through(&mut self, from: Offset, deferred: bool) -> OctoResult<Option<SyncTicket>> {
-        let store = self.store.as_mut().expect("caller checked");
-        let seg_idx = match self.segments.binary_search_by(|s| s.base_offset.cmp(&from)) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
+    /// Apply a leader's append on this follower, under the follower's
+    /// log lock and judged from this log alone:
+    ///
+    /// * **It ends where the run begins** — adopt the run verbatim:
+    ///   check every record's CRC, roll at the leader's segment bases,
+    ///   push the leader's chunks (shared, not copied), and write the
+    ///   leader's encoded frames under a group-commit ticket.
+    /// * **It already holds the run** (equal offsets and CRCs) — a
+    ///   resync copied it after the job was queued: acknowledge
+    ///   without appending.
+    /// * **Anything else** (its leader was deposed mid-produce and the
+    ///   logs diverged) — re-derive the producer's `batch` at this
+    ///   log's own end, as a plain append would.
+    ///
+    /// Returns the fsync ticket to wait on after releasing the lock.
+    pub(crate) fn append_replicated(
+        &mut self,
+        run: &SealedRun,
+        batch: &RecordBatch,
+        now: Timestamp,
+    ) -> OctoResult<Option<SyncTicket>> {
+        let end = self.end_offset();
+        let active_base = self.segments.last().expect("log always has a segment").base_offset;
+        // the run's first chunk lands in our active segment or rolls
+        // exactly at our end; anything else means the layouts diverged
+        let same_layout = run.chunks.first().is_some_and(|(b, _)| *b == active_base || *b == end);
+        if run.base == end && same_layout {
+            check_stamped(run.records(), end)?;
+            self.push_stamped(&run.chunks);
+            let encoded = (!run.encoded.is_empty()).then_some(&run.encoded[..]);
+            return self.persist(end, &run.chunks, encoded, true).map(|(ticket, _)| ticket);
+        }
+        if self.holds(run) {
+            return Ok(None);
+        }
+        self.append_deferred(batch, now, false).map(|a| a.ticket)
+    }
+
+    /// Whether this log already holds every record of `run` at the same
+    /// offsets with the same CRCs.
+    fn holds(&self, run: &SealedRun) -> bool {
+        let mine = self.snapshot().read(run.base, run.count);
+        mine.is_ok_and(|mine| {
+            let same = |(a, b): (&Record, &Record)| a.offset == b.offset && a.crc == b.crc;
+            mine.len() == run.count && mine.iter().zip(run.records()).all(same)
+        })
+    }
+
+    /// Split stamped records that continue this log into per-segment
+    /// chunks by the roll rule, without touching the log. When the
+    /// active segment's last chunk is small, the first chunk starts with
+    /// its records (a bounded copy), so single-record producers cannot
+    /// degenerate a segment into one chunk per record.
+    fn layout(&self, records: impl Iterator<Item = Record>) -> Vec<SegmentChunk> {
+        let active = self.segments.last().expect("log always has a segment");
+        let (mut seg_base, mut count, mut size) =
+            (active.base_offset, active.record_count, active.size_bytes);
+        let prefix: &[Record] = match active.chunks.last() {
+            Some(last) if last.len() < CHUNK_MERGE_BELOW => last,
+            _ => &[],
         };
-        for seg in &self.segments[seg_idx..] {
-            // whole per-segment runs go down as one batch: a single
-            // write(2), and under Lz4 one compressed frame per run
-            let run: Vec<Record> = seg
-                .records()
-                .filter(|rec| rec.offset >= from)
-                .cloned()
-                .collect();
-            if !run.is_empty() {
-                store.append_batch(&run, seg.base_offset)?;
+        let mut pending: Vec<Record> = Vec::with_capacity(prefix.len() + records.size_hint().0);
+        pending.extend_from_slice(prefix);
+        let mut held = prefix.len();
+        let mut chunks = Vec::new();
+        for rec in records {
+            let rec_size = rec.wire_size();
+            if count > 0 && size + rec_size > self.segment_bytes {
+                if pending.len() > held {
+                    chunks.push((seg_base, Arc::from(std::mem::take(&mut pending))));
+                }
+                pending.clear();
+                held = 0;
+                seg_base = rec.offset;
+                count = 0;
+                size = 0;
+            }
+            count += 1;
+            size += rec_size;
+            pending.push(rec);
+        }
+        if pending.len() > held {
+            chunks.push((seg_base, Arc::from(pending)));
+        }
+        chunks
+    }
+
+    /// Push stamped chunks (see [`PartitionLog::layout`] and
+    /// [`SealedRun`]), each into the segment based at its `seg_base`; a
+    /// base past the active segment's rolls. A chunk may begin with
+    /// records this log already holds: when they are exactly its last
+    /// chunk, the new chunk replaces it (the leader merged a small
+    /// append); otherwise only the new records are pushed, copied.
+    /// Callers have checked the new records are dense from the log end.
+    fn push_stamped(&mut self, chunks: &[SegmentChunk]) {
+        for (seg_base, chunk) in chunks {
+            if self.segments.last().expect("log always has a segment").base_offset != *seg_base {
+                let next = self.end_offset();
+                self.segments.push(Segment::new(next));
+            }
+            let end = self.end_offset();
+            let held = chunk.partition_point(|r| r.offset < end);
+            let fresh = &chunk[held..];
+            let seg = self.segments.last_mut().expect("nonempty");
+            let mut added = 0usize;
+            for rec in fresh {
+                added += rec.wire_size();
+                seg.max_timestamp = seg.max_timestamp.max(rec.append_time);
+            }
+            seg.size_bytes += added;
+            seg.record_count += fresh.len();
+            seg.snap_cache = None;
+            // adopt a merged chunk only when its prefix is the very
+            // records we hold (same stamps, same payload allocations):
+            // a leader whose tail was rewritten, e.g. corrupted, must
+            // not spread that to its replicas
+            let extends_last = seg.chunks.last().is_some_and(|last| {
+                held > 0
+                    && last.len() == held
+                    && last.iter().zip(chunk.iter()).all(|(a, b)| {
+                        let same_payload = a.value.as_ptr() == b.value.as_ptr();
+                        a.offset == b.offset && a.crc == b.crc && same_payload
+                    })
+            });
+            if extends_last {
+                *seg.chunks.last_mut().expect("checked") = Arc::clone(chunk);
+            } else if held > 0 {
+                seg.chunks.push(Arc::from(fresh));
+            } else {
+                seg.chunks.push(Arc::clone(chunk));
+            }
+            self.total_bytes += added;
+        }
+    }
+
+    /// Write the records at `offset >= base` through to the store, if
+    /// any ([`write_through`]). A store failure rolls the in-memory tail
+    /// back so RAM never claims records the disk could not keep.
+    /// Publishes the new read view either way.
+    fn persist(
+        &mut self,
+        base: Offset,
+        chunks: &[SegmentChunk],
+        encoded: Option<&[EncodedBatch]>,
+        deferred: bool,
+    ) -> OctoResult<(Option<SyncTicket>, Vec<EncodedBatch>)> {
+        let written = match self.store.as_mut() {
+            Some(store) => write_through(store, base, chunks, encoded, deferred),
+            None => Ok((None, Vec::new())),
+        };
+        if written.is_err() {
+            self.truncate_from_offset(base);
+            if let Some(store) = self.store.as_mut() {
+                let _ = store.truncate_to(base);
             }
         }
-        if deferred {
-            store.commit_batch_ticket()
-        } else {
-            store.commit_batch().map(|()| None)
-        }
+        self.publish();
+        written
     }
 
     /// Remove every in-memory record at `offset >= from`, dropping
@@ -917,7 +1083,7 @@ impl PartitionLog {
         }
         let mut removed = 0usize;
         let last = self.segments.len() - 1;
-        let mut store_rewrites: Vec<(Offset, Arc<[Record]>)> = Vec::new();
+        let mut store_rewrites: Vec<SegmentChunk> = Vec::new();
         for (seg, chunks) in self.segments[..last].iter_mut().zip(&loaded) {
             let Some(chunks) = chunks else { continue };
             let before: usize = chunks.iter().map(|c| c.len()).sum();
@@ -1150,6 +1316,110 @@ mod tests {
         assert_eq!(learner.start_offset(), 3);
         assert_eq!(learner.end_offset(), 6);
         assert_eq!(learner.read(3, 10).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn replicated_appends_share_the_leaders_chunks_and_rolls() {
+        let mut leader = PartitionLog::with_segment_bytes(64);
+        let mut follower = PartitionLog::with_segment_bytes(64);
+        // single records (merged into small chunks), then batches that
+        // roll mid-append
+        for i in 0..40u64 {
+            let n = if i % 5 == 4 { 9 } else { 1 };
+            let events: Vec<Event> = (0..n).map(|j| ev(&format!("{i}-{j}"))).collect();
+            let batch = RecordBatch::new(events);
+            let run = leader.append_deferred(&batch, t(i), true).unwrap().run.unwrap();
+            assert!(follower.append_replicated(&run, &batch, t(999)).unwrap().is_none());
+        }
+        assert!(leader.segments.len() > 3, "rolled {} times", leader.segments.len() - 1);
+        assert_eq!(leader.segments.len(), follower.segments.len());
+        for (l, f) in leader.segments.iter().zip(&follower.segments) {
+            assert_eq!(l.base_offset, f.base_offset);
+            assert_eq!((l.record_count, l.size_bytes), (f.record_count, f.size_bytes));
+            assert_eq!(l.chunks.len(), f.chunks.len());
+            for (lc, fc) in l.chunks.iter().zip(&f.chunks) {
+                assert!(Arc::ptr_eq(lc, fc), "follower holds its own copy of a chunk");
+            }
+        }
+        assert_eq!(follower.size_bytes(), leader.size_bytes());
+        // a follower's fault injection copies on write
+        follower.corrupt_tail(3);
+        assert!(leader.read(0, 1000).unwrap().iter().all(|r| r.verify()));
+        assert_eq!(follower.verify_and_truncate(), 3);
+    }
+
+    #[test]
+    fn replicated_append_branches() {
+        let mut leader = PartitionLog::new();
+        let a = RecordBatch::new(vec![ev("a")]);
+        let x = RecordBatch::new(vec![ev("x")]);
+        let run_a = leader.append_deferred(&a, t(1), true).unwrap().run.unwrap();
+        let run_x = leader.append_deferred(&x, t(2), true).unwrap().run.unwrap();
+        // already holds the run: acknowledged, nothing appended
+        let mut copy = leader.clone();
+        copy.append_replicated(&run_x, &x, t(2)).unwrap();
+        assert_eq!(copy.end_offset(), 2);
+        // diverged (holds another record at the run's offset): the batch
+        // is re-derived at the follower's own end
+        let mut diverged = PartitionLog::new();
+        diverged.append(&RecordBatch::new(vec![ev("other")]), t(1)).unwrap();
+        diverged.append_replicated(&run_a, &a, t(1)).unwrap();
+        let got = diverged.read(0, 10).unwrap();
+        assert_eq!(got.len(), 2);
+        assert_eq!(&got[1].value[..], b"a");
+        // a run whose record fails its CRC is refused, the log untouched
+        let mut tampered: Vec<Record> = run_x.records().cloned().collect();
+        tampered[0].value = Bytes::from_static(b"tampered");
+        let bad = SealedRun {
+            base: 1,
+            count: 1,
+            chunks: vec![(0, Arc::from(tampered))],
+            encoded: Vec::new(),
+        };
+        let mut behind = PartitionLog::new();
+        behind.append_replicated(&run_a, &a, t(1)).unwrap();
+        assert!(matches!(behind.append_replicated(&bad, &x, t(2)), Err(OctoError::Invalid(_))));
+        assert_eq!(behind.end_offset(), 1);
+    }
+
+    #[test]
+    fn a_corrupt_leader_prefix_is_not_adopted() {
+        let mut leader = PartitionLog::new();
+        let mut follower = PartitionLog::new();
+        let mut replicate = |leader: &mut PartitionLog, tag: &str| {
+            let batch = RecordBatch::new(vec![ev(tag)]);
+            let run = leader.append_deferred(&batch, t(1), true).unwrap().run.unwrap();
+            follower.append_replicated(&run, &batch, t(1)).unwrap();
+        };
+        replicate(&mut leader, "a");
+        replicate(&mut leader, "b");
+        // the next small append merges the corrupted record into its chunk
+        leader.corrupt_tail(1);
+        replicate(&mut leader, "c");
+        assert_eq!(follower.end_offset(), 3);
+        assert!(follower.read(0, 10).unwrap().iter().all(|r| r.verify()));
+    }
+
+    #[test]
+    fn replace_from_rewrites_the_store_from_a_volatile_source() {
+        let tmp = crate::store::TempDir::new("octopus-data");
+        let open = || {
+            let metrics = StoreMetrics::new(&octopus_types::obs::MetricsRegistry::new());
+            PartitionLog::open_durable(16, tmp.path(), FlushPolicy::PerBatch, metrics).unwrap().0
+        };
+        let mut durable = open();
+        durable.append(&RecordBatch::new(vec![ev("stale"), ev("stale")]), t(1)).unwrap();
+        let mut source = PartitionLog::with_segment_bytes(16);
+        for i in 0..5 {
+            source.append(&RecordBatch::new(vec![ev(&format!("{i:08}"))]), t(i)).unwrap();
+        }
+        durable.replace_from(&source).unwrap();
+        drop(durable);
+        let values = |log: &PartitionLog| {
+            let records = log.read(0, 100).unwrap();
+            records.iter().map(|r| (r.offset, r.value.clone())).collect::<Vec<_>>()
+        };
+        assert_eq!(values(&open()), values(&source));
     }
 
     #[test]

@@ -9,17 +9,37 @@
 //! one job per follower and waits for the replies, so follower appends
 //! overlap.
 //!
-//! ## Semantics (bit-for-bit with the old sequential loop)
+//! ## What is replicated: the leader's append
+//!
+//! The leader assigns offsets and append times, computes every record's
+//! CRC, seals the records into `Arc<[Record]>` chunks and, on durable
+//! logs, encodes (and lz4-compresses) them into store frames — once.
+//! Each job carries that [`SealedRun`]. Under its own log lock a
+//! follower decides from its own log alone
+//! (`PartitionLog::append_replicated`):
+//!
+//! * **Its log ends where the run begins**: it checks each record's
+//!   CRC, rolls at the leader's segment bases, shares the leader's
+//!   chunks, and writes the leader's frame bytes under a group-commit
+//!   ticket. Replicas hold the same records and store the same bytes.
+//! * **It already holds the run** with equal offsets and CRCs: a resync
+//!   copied it after the job was queued. It acknowledges without
+//!   appending (appending again would duplicate the run and shift every
+//!   later offset on the replica).
+//! * **Anything else** (its leader was deposed mid-produce): it
+//!   re-derives the producer's batch at its own end. Rejecting this
+//!   case instead loses acknowledged records; removing it needs
+//!   epoch-fenced leaders.
 //!
 //! A follower replicates successfully iff, at execution time, the
-//! leader→follower link is not severed, the follower is alive, and its
-//! replica log accepts the append — the exact predicate the sequential
-//! loop evaluated. Any failure drops the follower from the ISR
-//! (Kafka's leader removes laggards), and a full executor queue counts
-//! as failure too: a follower that cannot keep up with the submission
-//! rate *is* a laggard, and treating it as one keeps submission
-//! non-blocking, which matters because jobs are submitted while the
-//! leader's log lock is held (see below).
+//! leader→follower link is not severed, the follower is alive in the
+//! job's incarnation, and its replica log accepts the append. Any
+//! failure drops the follower from the ISR (Kafka's leader removes
+//! laggards), and a full executor queue counts as failure too: a
+//! follower that cannot keep up with the submission rate *is* a
+//! laggard, and treating it as one keeps submission non-blocking,
+//! which matters because jobs are submitted while the leader's log lock
+//! is held (see below).
 //!
 //! ## Ordering
 //!
@@ -48,6 +68,7 @@ use octopus_types::{PartitionId, Timestamp, TopicName};
 
 use crate::broker::{Broker, BrokerId};
 use crate::fault::FaultInjector;
+use crate::log::SealedRun;
 use crate::record::RecordBatch;
 
 /// Jobs queued ahead of a follower before submission starts failing
@@ -71,6 +92,11 @@ pub(crate) struct ReplicationJob {
     pub leader: BrokerId,
     pub topic: TopicName,
     pub partition: PartitionId,
+    /// The leader's append, which the follower adopts verbatim.
+    pub run: Arc<SealedRun>,
+    /// The producer's batch and the leader's append time, used only
+    /// when the follower's log has diverged from the leader's and the
+    /// batch must be re-derived at the follower's own end.
     pub batch: Arc<RecordBatch>,
     pub now: Timestamp,
     /// The follower's incarnation at submission time. The executor
@@ -172,10 +198,10 @@ fn run_executor(broker: Arc<Broker>, fault: FaultInjector, rx: Receiver<Replicat
             && broker.epoch() == job.follower_epoch
             && match broker.log(&job.topic, job.partition) {
                 Some(log) => {
-                    let appended = log.lock().append_deferred(&job.batch, job.now);
+                    let appended = log.lock().append_replicated(&job.run, &job.batch, job.now);
                     match appended {
-                        Ok((_, Some(ticket))) => ticket.wait().is_ok(),
-                        Ok((_, None)) => true,
+                        Ok(Some(ticket)) => ticket.wait().is_ok(),
+                        Ok(None) => true,
                         Err(_) => false,
                     }
                 }
@@ -185,26 +211,54 @@ fn run_executor(broker: Arc<Broker>, fault: FaultInjector, rx: Receiver<Replicat
     }
 }
 
+/// An executor's `(follower, success)` verdict for one job.
+pub(crate) type ReplicationReply = (BrokerId, bool);
+
+/// Build a reply channel sized so executor replies can never block.
+pub(crate) fn reply_channel(
+    followers: usize,
+) -> (Sender<ReplicationReply>, Receiver<ReplicationReply>) {
+    bounded(followers.max(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultInjector;
-    use crate::log::DEFAULT_SEGMENT_BYTES;
+    use crate::log::{PartitionLog, DEFAULT_SEGMENT_BYTES};
     use octopus_types::{Event, Timestamp};
 
-    fn batch(tag: &str) -> Arc<RecordBatch> {
-        Arc::new(RecordBatch::new(vec![Event::from_bytes(tag.as_bytes().to_vec())]))
+    /// A leader log that stamps every job's run, so executors see
+    /// exactly what the produce path hands them.
+    struct Leader {
+        log: PartitionLog,
     }
 
-    fn job(tag: &str, epoch: u64, reply: &Sender<(BrokerId, bool)>) -> ReplicationJob {
-        ReplicationJob {
-            leader: BrokerId(0),
-            topic: "t".to_string(),
-            partition: 0,
-            batch: batch(tag),
-            now: Timestamp::from_millis(0),
-            follower_epoch: epoch,
-            reply: reply.clone(),
+    impl Leader {
+        fn new() -> Self {
+            Leader { log: PartitionLog::new() }
+        }
+
+        fn job(
+            &mut self,
+            tag: &str,
+            epoch: u64,
+            reply: &Sender<ReplicationReply>,
+        ) -> ReplicationJob {
+            let event = Event::from_bytes(tag.as_bytes().to_vec());
+            let batch = Arc::new(RecordBatch::new(vec![event]));
+            let now = Timestamp::from_millis(0);
+            let run = self.log.append_deferred(&batch, now, true).unwrap().run.expect("asked for");
+            ReplicationJob {
+                leader: BrokerId(0),
+                topic: "t".to_string(),
+                partition: 0,
+                run,
+                batch,
+                now,
+                follower_epoch: epoch,
+                reply: reply.clone(),
+            }
         }
     }
 
@@ -220,13 +274,19 @@ mod tests {
         ReplicationPool::new(&brokers, fault)
     }
 
+    fn contents(log: &PartitionLog) -> Vec<(u64, Vec<u8>)> {
+        let records = log.read(log.start_offset(), 1024).unwrap();
+        records.iter().map(|r| (r.offset, r.value.to_vec())).collect()
+    }
+
     #[test]
     fn executor_appends_in_submission_order() {
         let broker = follower();
         let pool = pool_of(&broker, FaultInjector::new());
+        let mut leader = Leader::new();
         let (tx, rx) = reply_channel(1);
         for i in 0..64 {
-            pool.submit(BrokerId(1), job(&format!("r{i}"), broker.epoch(), &tx));
+            pool.submit(BrokerId(1), leader.job(&format!("r{i}"), broker.epoch(), &tx));
         }
         for _ in 0..64 {
             assert_eq!(rx.recv().unwrap(), (BrokerId(1), true));
@@ -243,16 +303,17 @@ mod tests {
     #[test]
     fn dead_broker_and_severed_link_report_failure() {
         let broker = follower();
+        let mut leader = Leader::new();
         let severed = FaultInjector::new();
         severed.sever_link(BrokerId(0), BrokerId(1));
         let severed_pool = pool_of(&broker, severed);
         let (tx, rx) = reply_channel(1);
-        severed_pool.submit(BrokerId(1), job("x", broker.epoch(), &tx));
+        severed_pool.submit(BrokerId(1), leader.job("x", broker.epoch(), &tx));
         assert_eq!(rx.recv().unwrap(), (BrokerId(1), false));
 
         let pool = pool_of(&broker, FaultInjector::new());
         broker.kill();
-        pool.submit(BrokerId(1), job("y", broker.epoch(), &tx));
+        pool.submit(BrokerId(1), leader.job("y", broker.epoch(), &tx));
         assert_eq!(rx.recv().unwrap(), (BrokerId(1), false));
         assert!(broker.log("t", 0).unwrap().snapshot().read(0, 8).unwrap().is_empty());
     }
@@ -266,18 +327,7 @@ mod tests {
         joined.host_partition("t", 0, DEFAULT_SEGMENT_BYTES).unwrap();
         pool.add_broker(&joined, FaultInjector::new());
         let (tx, rx) = reply_channel(1);
-        pool.submit(
-            BrokerId(2),
-            ReplicationJob {
-                leader: BrokerId(0),
-                topic: "t".to_string(),
-                partition: 0,
-                batch: batch("joined"),
-                now: Timestamp::from_millis(0),
-                follower_epoch: joined.epoch(),
-                reply: tx,
-            },
-        );
+        pool.submit(BrokerId(2), Leader::new().job("joined", joined.epoch(), &tx));
         assert_eq!(rx.recv().unwrap(), (BrokerId(2), true));
         assert_eq!(joined.log("t", 0).unwrap().snapshot().read(0, 8).unwrap().len(), 1);
     }
@@ -286,28 +336,42 @@ mod tests {
     fn stale_epoch_jobs_are_fenced_after_restart() {
         let broker = follower();
         let pool = pool_of(&broker, FaultInjector::new());
+        let mut leader = Leader::new();
         let (tx, rx) = reply_channel(1);
         // a job queued before the crash, executed after the restart,
         // must NOT append (the resync copy already covers its batch)
         let stale = broker.epoch();
         broker.kill();
         broker.restart();
-        pool.submit(BrokerId(1), job("ghost", stale, &tx));
+        pool.submit(BrokerId(1), leader.job("ghost", stale, &tx));
         assert_eq!(rx.recv().unwrap(), (BrokerId(1), false));
         assert!(broker.log("t", 0).unwrap().snapshot().read(0, 8).unwrap().is_empty());
         // current-epoch jobs still land
-        pool.submit(BrokerId(1), job("live", broker.epoch(), &tx));
+        pool.submit(BrokerId(1), leader.job("live", broker.epoch(), &tx));
         assert_eq!(rx.recv().unwrap(), (BrokerId(1), true));
         assert_eq!(broker.log("t", 0).unwrap().snapshot().read(0, 8).unwrap().len(), 1);
     }
-}
 
-/// An executor's `(follower, success)` verdict for one job.
-pub(crate) type ReplicationReply = (BrokerId, bool);
-
-/// Build a reply channel sized so executor replies can never block.
-pub(crate) fn reply_channel(
-    followers: usize,
-) -> (Sender<ReplicationReply>, Receiver<ReplicationReply>) {
-    bounded(followers.max(1))
+    #[test]
+    fn job_queued_before_a_resync_is_not_applied_twice() {
+        let broker = follower();
+        let pool = pool_of(&broker, FaultInjector::new());
+        let mut leader = Leader::new();
+        let (tx, rx) = reply_channel(1);
+        pool.submit(BrokerId(1), leader.job("a", broker.epoch(), &tx));
+        assert_eq!(rx.recv().unwrap(), (BrokerId(1), true));
+        // the follower restarts while nothing is produced to it, so it
+        // never leaves the ISR; a produce queues a job for its new
+        // incarnation, and the resync copies the leader's log before
+        // the executor runs that job
+        broker.kill();
+        broker.restart();
+        let queued = leader.job("x", broker.epoch(), &tx);
+        broker.log("t", 0).unwrap().lock().replace_from(&leader.log).unwrap();
+        pool.submit(BrokerId(1), queued);
+        assert_eq!(rx.recv().unwrap(), (BrokerId(1), true));
+        let log = broker.log("t", 0).unwrap();
+        assert_eq!(contents(&log.lock()), contents(&leader.log));
+        assert_eq!(contents(&leader.log), vec![(0, b"a".to_vec()), (1, b"x".to_vec())]);
+    }
 }

@@ -64,6 +64,18 @@
 //! from that point on is truncated and the sidecars are rebuilt from
 //! the data (the index is never load-bearing for durability).
 //!
+//! # One write path, shared by replicas
+//!
+//! [`PartitionStore::append_batch`] is `PartitionStore::encode`
+//! followed by `PartitionStore::append_encoded`. A partition leader
+//! encodes (and compresses) each append once and its followers write
+//! the same `EncodedBatch` bytes, so replicas store identical files;
+//! `PartitionStore::copy_from` keeps that true across a resync by
+//! copying the leader's files rather than re-encoding its records.
+//! Every replica counts its own writes in the `octopus_store_*`
+//! metrics, so bytes-per-event and the compression ratio keep their
+//! per-replica meaning.
+//!
 //! # Flush policies
 //!
 //! Writes always reach the file (a `write(2)` per batch); [`FlushPolicy`]
@@ -436,6 +448,17 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Option<Record> {
     Some(Record { offset, append_time, key, value, headers, producer_time, crc, eos })
 }
 
+/// Records encoded for one segment: the exact bytes
+/// `PartitionStore::append_encoded` writes, plus per-frame bookkeeping
+/// for the sparse index and the metrics. A leader's store encodes each
+/// append once; its followers write the same bytes.
+#[derive(Debug)]
+pub(crate) struct EncodedBatch {
+    seg_base: Offset,
+    bytes: Vec<u8>,
+    frames: Vec<EncodedFrame>,
+}
+
 /// One encoded frame's bookkeeping, for index replay and metrics.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EncodedFrame {
@@ -616,6 +639,14 @@ struct FrameSpan {
 
 fn seg_path(dir: &Path, base: Offset) -> PathBuf {
     dir.join(format!("{base:020}.seg"))
+}
+
+/// Write `bytes` to a fresh file at `path` and fsync it.
+fn write_synced(path: &Path, bytes: &[u8]) -> OctoResult<()> {
+    let mut f = File::create(path)?;
+    f.write_all(bytes)?;
+    f.sync_data()?;
+    Ok(())
 }
 
 /// Walk frames from the start of `bytes`, stopping at the first framing
@@ -891,6 +922,23 @@ impl SegmentIo {
         let mut out = Vec::new();
         f.read_to_end(&mut out)?;
         Ok(out)
+    }
+
+    /// The data bytes wherever they live — the hot file, or the cold
+    /// object — without hydrating (a replica copying this segment).
+    pub(crate) fn copy_data(&self) -> OctoResult<Vec<u8>> {
+        let is_cold = self.lock();
+        let path = seg_path(&self.dir, self.base);
+        if *is_cold && !path.exists() {
+            let object = match (&self.cold, tier::read_marker(&self.dir, self.base)) {
+                (Some(cold), Some(marker)) => cold.get(&marker.key)?,
+                _ => None,
+            };
+            return object.ok_or_else(|| {
+                OctoError::Io(format!("cold segment {} has no readable object", self.base))
+            });
+        }
+        Ok(fs::read(path)?)
     }
 
     /// Move the hot data file (exactly `data_len` bytes) to the cold
@@ -1668,28 +1716,47 @@ impl PartitionStore {
     }
 
     /// Append a batch of records into the segment whose base offset is
-    /// `seg_base`. Under [`Compression::Lz4`], dense runs become
-    /// compressed batch frames (one `write(2)` either way); the sparse
-    /// index is extended as frames land.
+    /// `seg_base`: `PartitionStore::encode` then
+    /// `PartitionStore::append_encoded`, the one write path.
     pub fn append_batch(&mut self, records: &[Record], seg_base: Offset) -> OctoResult<()> {
+        let encoded = self.encode(records, seg_base);
+        self.append_encoded(&encoded)
+    }
+
+    /// Encode `records` into this store's frame format without writing
+    /// them. Under [`Compression::Lz4`], dense runs become compressed
+    /// batch frames; the result can be written here or into another
+    /// replica's store with `PartitionStore::append_encoded`.
+    pub(crate) fn encode(&self, records: &[Record], seg_base: Offset) -> EncodedBatch {
+        let mut bytes = Vec::new();
+        let frames = encode_frames(records, self.opts.compression, &mut bytes);
+        EncodedBatch { seg_base, bytes, frames }
+    }
+
+    /// Write an encoded batch (this store's or another replica's) into
+    /// the segment whose base offset is `batch.seg_base`, rolling first
+    /// when that is a new segment. One `write(2)`; the sparse index is
+    /// extended as frames land and the bytes count once toward
+    /// `octopus_store_bytes_written_total` and the compression counters.
+    pub(crate) fn append_encoded(&mut self, batch: &EncodedBatch) -> OctoResult<()> {
         if self.needs_recovery {
             return Err(OctoError::Io("store lost power; recover() before appending".into()));
         }
-        if records.is_empty() {
+        if batch.frames.is_empty() {
             return Ok(());
         }
-        if self.segments.last().map(|s| s.base) != Some(seg_base) {
-            self.roll_to(seg_base)?;
+        if self.segments.last().map(|s| s.base) != Some(batch.seg_base) {
+            self.roll_to(batch.seg_base)?;
         } else {
             self.unseal_active()?;
         }
-        let mut buf = Vec::new();
-        let frames = encode_frames(records, self.opts.compression, &mut buf);
+        let buf = &batch.bytes;
+        let frames = &batch.frames;
         let file = self.writer()?;
-        (&*file).write_all(&buf)?;
+        (&*file).write_all(buf)?;
         let seg = self.segments.last_mut().expect("rolled above");
         let mut pos = seg.len;
-        for f in &frames {
+        for f in frames {
             if let Some(b) = seg.builder.as_mut() {
                 b.on_frame(f.first, f.last, f.count as u64, pos, f.len, f.logical, f.max_ts_ms, f.eos)?;
             }
@@ -1784,11 +1851,7 @@ impl PartitionStore {
             let mut buf = Vec::new();
             let frames = encode_frames(&kept, Compression::None, &mut buf);
             let tmp = dir.join(format!("{:020}.seg.tmp", seg.base));
-            {
-                let mut f = File::create(&tmp)?;
-                f.write_all(&buf)?;
-                f.sync_data()?;
-            }
+            write_synced(&tmp, &buf)?;
             fs::rename(&tmp, seg_path(&dir, seg.base))?;
             let (builder, spans, len) = build_segment_state(&dir, seg.base, interval, &frames)?;
             seg.spans = spans;
@@ -1839,11 +1902,7 @@ impl PartitionStore {
         let mut buf = Vec::new();
         let frames = encode_frames(records, compression, &mut buf);
         let tmp = dir.join(format!("{base:020}.seg.tmp"));
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
-        }
+        write_synced(&tmp, &buf)?;
         fs::rename(&tmp, seg_path(&dir, base))?;
         let (builder, spans, len) = build_segment_state(&dir, base, interval, &frames)?;
         seg.spans = spans;
@@ -1859,46 +1918,54 @@ impl PartitionStore {
         Ok(())
     }
 
-    /// Replace the entire on-disk state with the given segments (ISR
-    /// resync adopting a leader snapshot). Every file is written and
-    /// fsynced before the old state is considered gone.
-    pub fn reset_with<'a>(
-        &mut self,
-        segments: impl Iterator<Item = (Offset, &'a [Record])>,
-    ) -> OctoResult<()> {
+    /// Replace the entire on-disk state with a byte copy of another
+    /// replica's store (ISR resync adopting the leader). Data files are
+    /// copied unchanged (cold ones straight from the cold tier, without
+    /// hydrating the source); sealed segments take the source's sidecars
+    /// too, and the active segment's index is rebuilt from its copied
+    /// data exactly as recovery would. Replicas then hold the same bytes,
+    /// and replicated appends (`PartitionStore::append_encoded`) keep
+    /// it so. Every file is fsynced before the old state is gone.
+    pub(crate) fn copy_from(&mut self, src: &PartitionStore) -> OctoResult<()> {
         self.gate.detach_file();
         for seg in &self.segments {
             seg.io.delete_files();
         }
         self.segments.clear();
-        for (base, records) in segments {
-            let mut buf = Vec::new();
-            let frames = encode_frames(records, self.opts.compression, &mut buf);
-            let path = seg_path(&self.dir, base);
-            {
-                let mut f = File::create(&path)?;
-                f.write_all(&buf)?;
-                f.sync_data()?;
-            }
-            self.metrics.bytes_written.add(buf.len() as u64);
-            let (builder, spans, len) =
-                build_segment_state(&self.dir, base, self.opts.index_interval_bytes, &frames)?;
+        for from in &src.segments {
+            let base = from.base;
+            let mut data = from.io.copy_data()?;
+            data.truncate(from.len as usize);
+            write_synced(&seg_path(&self.dir, base), &data)?;
+            self.metrics.bytes_written.add(data.len() as u64);
             let io =
                 SegmentIo::new(&self.dir, base, self.opts.cold.clone(), self.metrics.clone(), false);
-            self.segments.push(StoreSegment {
+            let mut seg = StoreSegment {
                 base,
-                len,
-                spans,
+                len: data.len() as u64,
+                spans: Vec::new(),
                 sealed: None,
-                builder: Some(builder),
+                builder: None,
                 io,
-            });
-        }
-        let n = self.segments.len();
-        if n > 1 {
-            for seg in &mut self.segments[..n - 1] {
-                seg.seal()?;
+            };
+            match &from.sealed {
+                Some(meta) => {
+                    for path in [index::index_path, index::timeindex_path] {
+                        write_synced(&path(&self.dir, base), &fs::read(path(&src.dir, base))?)?;
+                    }
+                    seg.sealed = Some(Arc::clone(meta));
+                }
+                None => {
+                    let (spans, recs, _) = scan_bytes(&data, base.checked_sub(1));
+                    index::remove_index_files(&self.dir, base);
+                    let interval = self.opts.index_interval_bytes;
+                    let mut builder = IndexBuilder::new(&self.dir, base, interval);
+                    replay_spans(&mut builder, &spans, &recs)?;
+                    seg.spans = spans;
+                    seg.builder = Some(builder);
+                }
             }
+            self.segments.push(seg);
         }
         self.gate.settle();
         self.needs_recovery = false;
@@ -2195,11 +2262,7 @@ impl OffsetCheckpoint {
         out.extend_from_slice(&crc32c(&body).to_le_bytes());
         out.extend_from_slice(&body);
         let tmp = self.path.with_extension("ckpt.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_data()?;
-        }
+        write_synced(&tmp, &out)?;
         fs::rename(&tmp, &self.path)?;
         self.metrics.checkpoints_written.inc();
         Ok(())
@@ -2530,6 +2593,109 @@ mod tests {
         }
         store.commit_batch().unwrap();
         (store, m)
+    }
+
+    /// Every file in `dir` by name, with its bytes.
+    fn dir_files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                (path.file_name().unwrap().to_string_lossy().into_owned(), fs::read(&path).unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn encode_then_append_encoded_is_append_batch() {
+        for compression in [Compression::None, Compression::Lz4] {
+            let tmp = TempDir::new("octopus-data");
+            let opts = StoreOptions {
+                compression,
+                index_interval_bytes: 256,
+                ..StoreOptions::default()
+            };
+            let open = |name: &str| {
+                let m = metrics();
+                let (store, _, _) = PartitionStore::open_with(
+                    tmp.path().join(name),
+                    FlushPolicy::PerBatch,
+                    m.clone(),
+                    opts.clone(),
+                )
+                .unwrap();
+                (store, m)
+            };
+            // `reference` writes through append_batch; `leader` encodes
+            // once and appends its own frames; `follower` appends the
+            // leader's frames
+            let (mut reference, m_ref) = open("reference");
+            let (mut leader, m_leader) = open("leader");
+            let (mut follower, m_follower) = open("follower");
+            for b in 0..12u64 {
+                let seg_base = (b / 4) * 40; // three segments of four batches
+                let batch: Vec<Record> = (0..10)
+                    .map(|i| {
+                        let off = b * 10 + i;
+                        rec(off, format!("{{\"reading\": {off}}}").repeat(6).as_bytes(), None)
+                    })
+                    .collect();
+                reference.append_batch(&batch, seg_base).unwrap();
+                let encoded = leader.encode(&batch, seg_base);
+                leader.append_encoded(&encoded).unwrap();
+                follower.append_encoded(&encoded).unwrap();
+            }
+            for store in [&mut reference, &mut leader, &mut follower] {
+                store.commit_batch().unwrap();
+            }
+            let want = dir_files(reference.dir());
+            assert!(want.keys().any(|f| f.ends_with(".index")), "indexes written");
+            assert_eq!(dir_files(leader.dir()), want, "{compression:?}");
+            assert_eq!(dir_files(follower.dir()), want, "{compression:?}");
+            let counters = |m: &StoreMetrics| {
+                (
+                    m.compressed_batch_count(),
+                    m.compressed_raw_bytes_total(),
+                    m.compressed_stored_bytes_total(),
+                    m.bytes_written.get(),
+                    m.flush_count(),
+                )
+            };
+            assert_eq!(counters(&m_leader), counters(&m_ref));
+            assert_eq!(counters(&m_follower), counters(&m_ref));
+            assert_eq!(m_ref.compressed_batch_count() > 0, compression == Compression::Lz4);
+            let read =
+                |s: &PartitionStore| s.read_records(0, usize::MAX, SeekMode::Indexed).unwrap();
+            assert_eq!(read(&follower), read(&reference));
+        }
+    }
+
+    #[test]
+    fn copy_from_is_a_byte_copy_that_stays_one() {
+        let tmp = TempDir::new("octopus-data");
+        let opts = StoreOptions {
+            compression: Compression::Lz4,
+            index_interval_bytes: 128,
+            ..StoreOptions::default()
+        };
+        let (mut leader, _) = filled_store(&tmp.path().join("leader"), opts.clone(), 3, 20);
+        let (mut replica, _, _) = PartitionStore::open_with(
+            tmp.path().join("replica"),
+            FlushPolicy::PerBatch,
+            metrics(),
+            opts,
+        )
+        .unwrap();
+        replica.append(&rec(0, b"stale", None), 0).unwrap();
+        replica.copy_from(&leader).unwrap();
+        assert_eq!(dir_files(replica.dir()), dir_files(leader.dir()));
+        // later appends of the leader's frames keep the copies identical
+        let more: Vec<Record> = (60..70).map(|o| rec(o, b"more more more more", None)).collect();
+        let encoded = leader.encode(&more, 40);
+        leader.append_encoded(&encoded).unwrap();
+        replica.append_encoded(&encoded).unwrap();
+        assert_eq!(dir_files(replica.dir()), dir_files(leader.dir()));
+        assert_eq!(replica.read_records(0, usize::MAX, SeekMode::Indexed).unwrap().len(), 70);
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //!   `end_offset` below what was acknowledged, and committed consumer
 //!   offsets never move backwards.
 //! * The chaos harness surfaces recovery stats in its report.
+//! * Replicas store the leader's bytes: every follower's segment and
+//!   index files equal the leader's, through rolls and a
+//!   kill/restart/resync mid-run.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+use std::path::Path;
 
 use octopus::broker::{
-    AckLevel, BrokerId, Cluster, FlushPolicy, RecordBatch, TempDir, TopicConfig,
+    AckLevel, BrokerId, Cluster, Compression, FlushPolicy, RecordBatch, TempDir, TopicConfig,
 };
 use octopus::chaos::{ChaosConfig, ChaosHarness, FaultKind, FaultPlan};
 use octopus::types::Event;
@@ -111,6 +115,89 @@ fn power_loss_drill_loses_no_committed_record() {
     for s in &acked {
         assert!(survived.contains(s), "record {s} lost to the full-cluster power cycle");
     }
+}
+
+/// A partition directory's segment, index, and time-index files by
+/// name, with their bytes.
+fn segment_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            matches!(p.extension().and_then(|e| e.to_str()), Some("seg" | "index" | "timeindex"))
+        })
+        .map(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&p).unwrap())
+        })
+        .collect()
+}
+
+#[test]
+fn replicas_store_the_leaders_bytes_through_rolls_and_resync() {
+    let tmp = TempDir::new("octopus-data-drill-replica-bytes");
+    let c = durable_cluster(tmp.path(), FlushPolicy::PerBatch);
+    c.create_topic(
+        "t",
+        TopicConfig::default()
+            .with_partitions(1)
+            .with_replication(3)
+            .with_min_insync(2)
+            .with_compression(Compression::Lz4)
+            .with_segment_bytes(4096)
+            .with_index_interval(512),
+    )
+    .unwrap();
+    let produce = |batches: std::ops::Range<u64>| {
+        for b in batches {
+            let events = (0..4)
+                .map(|i| {
+                    let seq = b * 4 + i;
+                    let mut payload = seq.to_le_bytes().to_vec();
+                    let reading = format!(r#"{{"sensor":{seq},"celsius":21.5,"site":"alcf"}}"#);
+                    payload.extend(reading.repeat(3).bytes());
+                    Event::from_bytes(payload)
+                })
+                .collect();
+            c.produce_batch("t", 0, RecordBatch::new(events), AckLevel::All).unwrap();
+        }
+    };
+    let leader = c.leader_broker("t", 0).unwrap();
+    let victim = BrokerId((leader.0 + 1) % 3);
+    let other = BrokerId((leader.0 + 2) % 3);
+    produce(0..30);
+    c.kill_broker(victim).unwrap();
+    produce(30..60);
+    c.restart_broker(victim).unwrap();
+    produce(60..90);
+    assert_eq!(c.isr_of("t", 0).unwrap().len(), 3, "the restarted follower rejoined");
+
+    let dir = |b: BrokerId| tmp.path().join(format!("broker-{}", b.0)).join("t").join("00000");
+    let want = segment_files(&dir(leader));
+    let segments = want.keys().filter(|f| f.ends_with(".seg")).count();
+    assert!(segments >= 4, "only {segments} segments: the drill must roll several times");
+    for (follower, role) in [(victim, "resynced"), (other, "in-sync")] {
+        let got = segment_files(&dir(follower));
+        assert_eq!(got.keys().collect::<Vec<_>>(), want.keys().collect::<Vec<_>>(), "{role}");
+        for (name, bytes) in &want {
+            assert!(got[name] == *bytes, "{role} follower's {name} differs from the leader's");
+        }
+    }
+
+    // fault injection on a follower sharing the leader's chunks leaves
+    // the leader's records intact
+    let served = c.fetch("t", 0, 0, 10_000).unwrap();
+    assert_eq!(served.len(), 360);
+    assert_eq!(c.corrupt_log_tail(other, "t", 0, 5).unwrap(), 5);
+    let after = c.fetch("t", 0, 0, 10_000).unwrap();
+    assert!(after.iter().all(|r| r.verify()), "corrupting a follower reached the leader");
+    assert_eq!(after, served);
+
+    // failover to the resynced follower serves the same records
+    c.kill_broker(leader).unwrap();
+    c.kill_broker(other).unwrap();
+    assert_eq!(c.fetch("t", 0, 0, 10_000).unwrap(), served);
+    assert_eq!(c.leader_broker("t", 0).unwrap(), victim);
 }
 
 #[test]
