@@ -861,7 +861,7 @@ impl Cluster {
                     }
                 }
             }
-            let appended = leader_log.append_deferred(batch.as_ref(), now, !followers.is_empty())?;
+            let appended = leader_log.append_deferred(batch.as_ref(), now)?;
             let (base, leader_ticket) = (appended.base, appended.ticket);
             // record the window (and transactional metadata) while the
             // lock is still held: a retry racing this produce must see it
@@ -887,7 +887,9 @@ impl Cluster {
             // FIFO executors then apply follower appends in
             // leader-append order, so concurrent producers cannot
             // diverge a replica.
-            let replies = if let Some(run) = appended.run {
+            let replies = if followers.is_empty() {
+                None
+            } else {
                 let (reply_tx, reply_rx) = reply_channel(followers.len());
                 for follower in &followers {
                     self.inner.replication.submit(
@@ -896,7 +898,7 @@ impl Cluster {
                             leader,
                             topic: topic.to_string(),
                             partition,
-                            run: Arc::clone(&run),
+                            run: Arc::clone(&appended.run),
                             batch: Arc::clone(batch),
                             now,
                             follower_epoch: self.broker_unchecked(*follower).epoch(),
@@ -905,8 +907,6 @@ impl Cluster {
                     );
                 }
                 Some(reply_rx)
-            } else {
-                None
             };
             break (
                 leader,

@@ -354,8 +354,8 @@ pub struct DeferredAppend {
     /// The fsync to wait on after releasing the log lock
     /// ([`FlushPolicy::PerBatch`] only).
     pub ticket: Option<SyncTicket>,
-    /// What followers adopt, when the caller asked for it.
-    pub run: Option<Arc<SealedRun>>,
+    /// What followers adopt.
+    pub run: Arc<SealedRun>,
 }
 
 /// Check records stamped elsewhere before they join a log: offsets
@@ -586,28 +586,22 @@ impl PartitionLog {
     }
 
     /// Adopt another log's contents (ISR resync copying the leader).
-    /// Keeps this log's own durable store, rewriting its files to match
-    /// the adopted snapshot: a byte copy of the source's files when the
-    /// source is durable too, so both replicas keep storing the same
-    /// bytes as later appends replicate.
+    /// Keeps this log's own durable store, rewriting its files as a byte
+    /// copy of the source's, so both replicas keep storing the same
+    /// bytes as later appends replicate. Replicas of one partition are
+    /// all durable or all volatile; a durable log refuses a volatile
+    /// source, which has no bytes to copy.
     pub fn replace_from(&mut self, snapshot: &PartitionLog) -> OctoResult<()> {
+        if self.store.is_some() && snapshot.store.is_none() {
+            let msg = "a durable replica cannot resync from a volatile log";
+            return Err(OctoError::Internal(msg.into()));
+        }
         self.segments = snapshot.segments.clone();
         self.segment_bytes = snapshot.segment_bytes;
         self.log_start = snapshot.log_start;
         self.total_bytes = snapshot.total_bytes;
-        if let Some(store) = self.store.as_mut() {
-            match snapshot.store.as_ref() {
-                // replicas of one partition store the same bytes
-                Some(src) => store.copy_from(src)?,
-                // a volatile source has no bytes to copy: encode its records
-                None => {
-                    store.truncate_to(0)?;
-                    for seg in &self.segments {
-                        store.append_batch(&seg.contiguous()?, seg.base_offset)?;
-                    }
-                    store.sync()?;
-                }
-            }
+        if let (Some(store), Some(src)) = (self.store.as_mut(), snapshot.store.as_ref()) {
+            store.copy_from(src)?;
         }
         self.publish();
         Ok(())
@@ -702,7 +696,7 @@ impl PartitionLog {
     /// inline before returning (an acked record is already fsynced under
     /// [`FlushPolicy::PerBatch`]).
     pub fn append(&mut self, batch: &RecordBatch, now: Timestamp) -> OctoResult<Offset> {
-        self.append_inner(batch, now, false, false).map(|a| a.base)
+        self.append_inner(batch, now, false).map(|a| a.base)
     }
 
     /// [`PartitionLog::append`], but under [`FlushPolicy::PerBatch`] the
@@ -714,17 +708,11 @@ impl PartitionLog {
     /// durability is unconfirmed; callers surface the error and the
     /// producer retries (at-least-once).
     ///
-    /// With `replicate` set (a leader with followers), the result also
-    /// carries the [`SealedRun`] the followers adopt: the record chunks
-    /// this append sealed and, on durable logs, the frames its store
-    /// wrote. Without it nothing beyond the append itself is built.
-    pub fn append_deferred(
-        &mut self,
-        batch: &RecordBatch,
-        now: Timestamp,
-        replicate: bool,
-    ) -> OctoResult<DeferredAppend> {
-        self.append_inner(batch, now, true, replicate)
+    /// The result also carries the [`SealedRun`] a leader's followers
+    /// adopt: the record chunks this append sealed and, on durable logs,
+    /// the frames its store wrote.
+    pub fn append_deferred(&mut self, batch: &RecordBatch, now: Timestamp) -> OctoResult<DeferredAppend> {
+        self.append_inner(batch, now, true)
     }
 
     fn append_inner(
@@ -732,7 +720,6 @@ impl PartitionLog {
         batch: &RecordBatch,
         now: Timestamp,
         deferred: bool,
-        replicate: bool,
     ) -> OctoResult<DeferredAppend> {
         if !batch.verify() {
             return Err(OctoError::Invalid("record batch failed CRC check".into()));
@@ -761,9 +748,7 @@ impl PartitionLog {
         let chunks = self.layout(records);
         self.push_stamped(&chunks);
         let (ticket, encoded) = self.persist(base, &chunks, None, deferred)?;
-        let run = replicate.then(|| {
-            Arc::new(SealedRun { base, count: batch.events.len(), chunks, encoded })
-        });
+        let run = Arc::new(SealedRun { base, count: batch.events.len(), chunks, encoded });
         Ok(DeferredAppend { base, ticket, run })
     }
 
@@ -813,7 +798,7 @@ impl PartitionLog {
     ///   check every record's CRC, roll at the leader's segment bases,
     ///   push the leader's chunks (shared, not copied), and write the
     ///   leader's encoded frames under a group-commit ticket.
-    /// * **It already holds the run** (equal offsets and CRCs) — a
+    /// * **It already holds the run** (the same records) — a
     ///   resync copied it after the job was queued: acknowledge
     ///   without appending.
     /// * **Anything else** (its leader was deposed mid-produce and the
@@ -841,17 +826,16 @@ impl PartitionLog {
         if self.holds(run) {
             return Ok(None);
         }
-        self.append_deferred(batch, now, false).map(|a| a.ticket)
+        self.append_deferred(batch, now).map(|a| a.ticket)
     }
 
-    /// Whether this log already holds every record of `run` at the same
-    /// offsets with the same CRCs.
+    /// Whether this log already holds exactly the records of `run`. Whole
+    /// records are compared: a CRC covers only key and value, so equal
+    /// CRCs do not tell apart two control markers, or two producers'
+    /// events with the same payload.
     fn holds(&self, run: &SealedRun) -> bool {
         let mine = self.snapshot().read(run.base, run.count);
-        mine.is_ok_and(|mine| {
-            let same = |(a, b): (&Record, &Record)| a.offset == b.offset && a.crc == b.crc;
-            mine.len() == run.count && mine.iter().zip(run.records()).all(same)
-        })
+        mine.is_ok_and(|mine| mine.iter().eq(run.records()))
     }
 
     /// Split stamped records that continue this log into per-segment
@@ -919,17 +903,12 @@ impl PartitionLog {
             seg.record_count += fresh.len();
             seg.snap_cache = None;
             // adopt a merged chunk only when its prefix is the very
-            // records we hold (same stamps, same payload allocations):
-            // a leader whose tail was rewritten, e.g. corrupted, must
-            // not spread that to its replicas
-            let extends_last = seg.chunks.last().is_some_and(|last| {
-                held > 0
-                    && last.len() == held
-                    && last.iter().zip(chunk.iter()).all(|(a, b)| {
-                        let same_payload = a.value.as_ptr() == b.value.as_ptr();
-                        a.offset == b.offset && a.crc == b.crc && same_payload
-                    })
-            });
+            // records we hold: a leader whose tail was rewritten, e.g.
+            // corrupted, must not spread that to its replicas
+            let extends_last = seg
+                .chunks
+                .last()
+                .is_some_and(|last| held > 0 && last.len() == held && last[..] == chunk[..held]);
             if extends_last {
                 *seg.chunks.last_mut().expect("checked") = Arc::clone(chunk);
             } else if held > 0 {
@@ -1328,7 +1307,7 @@ mod tests {
             let n = if i % 5 == 4 { 9 } else { 1 };
             let events: Vec<Event> = (0..n).map(|j| ev(&format!("{i}-{j}"))).collect();
             let batch = RecordBatch::new(events);
-            let run = leader.append_deferred(&batch, t(i), true).unwrap().run.unwrap();
+            let run = leader.append_deferred(&batch, t(i)).unwrap().run;
             assert!(follower.append_replicated(&run, &batch, t(999)).unwrap().is_none());
         }
         assert!(leader.segments.len() > 3, "rolled {} times", leader.segments.len() - 1);
@@ -1353,8 +1332,8 @@ mod tests {
         let mut leader = PartitionLog::new();
         let a = RecordBatch::new(vec![ev("a")]);
         let x = RecordBatch::new(vec![ev("x")]);
-        let run_a = leader.append_deferred(&a, t(1), true).unwrap().run.unwrap();
-        let run_x = leader.append_deferred(&x, t(2), true).unwrap().run.unwrap();
+        let run_a = leader.append_deferred(&a, t(1)).unwrap().run;
+        let run_x = leader.append_deferred(&x, t(2)).unwrap().run;
         // already holds the run: acknowledged, nothing appended
         let mut copy = leader.clone();
         copy.append_replicated(&run_x, &x, t(2)).unwrap();
@@ -1388,7 +1367,7 @@ mod tests {
         let mut follower = PartitionLog::new();
         let mut replicate = |leader: &mut PartitionLog, tag: &str| {
             let batch = RecordBatch::new(vec![ev(tag)]);
-            let run = leader.append_deferred(&batch, t(1), true).unwrap().run.unwrap();
+            let run = leader.append_deferred(&batch, t(1)).unwrap().run;
             follower.append_replicated(&run, &batch, t(1)).unwrap();
         };
         replicate(&mut leader, "a");
@@ -1401,25 +1380,50 @@ mod tests {
     }
 
     #[test]
-    fn replace_from_rewrites_the_store_from_a_volatile_source() {
-        let tmp = crate::store::TempDir::new("octopus-data");
-        let open = || {
-            let metrics = StoreMetrics::new(&octopus_types::obs::MetricsRegistry::new());
-            PartitionLog::open_durable(16, tmp.path(), FlushPolicy::PerBatch, metrics).unwrap().0
-        };
-        let mut durable = open();
-        durable.append(&RecordBatch::new(vec![ev("stale"), ev("stale")]), t(1)).unwrap();
-        let mut source = PartitionLog::with_segment_bytes(16);
-        for i in 0..5 {
-            source.append(&RecordBatch::new(vec![ev(&format!("{i:08}"))]), t(i)).unwrap();
+    fn a_different_record_with_the_same_crc_is_not_held() {
+        use crate::record::{ControlMarker, ProducerStamp};
+        // a CRC covers key and value only: every control marker has the
+        // same one, and so do two producers' events with equal payloads
+        let abort = RecordBatch::control_batch(7, 0, ControlMarker::Abort);
+        let commit = RecordBatch::control_batch(7, 0, ControlMarker::Commit);
+        let stamp = |pid| ProducerStamp { pid, epoch: 0, seq: 0 };
+        // (one event value, so the two records share a payload allocation)
+        let x = ev("x");
+        let mine = RecordBatch::new(vec![x.clone()]).with_producer(stamp(1), false);
+        let theirs = RecordBatch::new(vec![x]).with_producer(stamp(2), false);
+        for (held, batch) in [(abort, commit), (mine.clone(), theirs.clone())] {
+            let mut leader = PartitionLog::new();
+            let run = leader.append_deferred(&batch, t(1)).unwrap().run;
+            let mut follower = PartitionLog::new();
+            follower.append(&held, t(1)).unwrap();
+            follower.append(&RecordBatch::new(vec![ev("later")]), t(2)).unwrap();
+            follower.append_replicated(&run, &batch, t(1)).unwrap();
+            // not acked as held: the leader's record reaches the follower
+            let got = follower.read(0, 10).unwrap();
+            assert_eq!(got.len(), 3);
+            assert_eq!(got[2].eos, run.records().next().unwrap().eos);
         }
-        durable.replace_from(&source).unwrap();
-        drop(durable);
-        let values = |log: &PartitionLog| {
-            let records = log.read(0, 100).unwrap();
-            records.iter().map(|r| (r.offset, r.value.clone())).collect::<Vec<_>>()
-        };
-        assert_eq!(values(&open()), values(&source));
+        // nor does a leader chunk that merged a small append replace ours
+        // when its prefix differs from the records we hold
+        let (mut leader, mut follower) = (PartitionLog::new(), PartitionLog::new());
+        leader.append(&theirs, t(1)).unwrap();
+        follower.append(&mine, t(1)).unwrap();
+        let held = follower.read(0, 1).unwrap();
+        let batch = RecordBatch::new(vec![ev("y")]);
+        let run = leader.append_deferred(&batch, t(2)).unwrap().run;
+        follower.append_replicated(&run, &batch, t(2)).unwrap();
+        assert_eq!(follower.read(0, 1).unwrap(), held);
+        assert_eq!(follower.end_offset(), 2);
+    }
+
+    #[test]
+    fn replace_from_refuses_a_volatile_source_for_a_durable_log() {
+        let tmp = crate::store::TempDir::new("octopus-data");
+        let metrics = StoreMetrics::new(&octopus_types::obs::MetricsRegistry::new());
+        let (mut durable, _) =
+            PartitionLog::open_durable(16, tmp.path(), FlushPolicy::PerBatch, metrics).unwrap();
+        let source = PartitionLog::new();
+        assert!(matches!(durable.replace_from(&source), Err(OctoError::Internal(_))));
     }
 
     #[test]

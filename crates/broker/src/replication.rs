@@ -22,7 +22,7 @@
 //!   CRC, rolls at the leader's segment bases, shares the leader's
 //!   chunks, and writes the leader's frame bytes under a group-commit
 //!   ticket. Replicas hold the same records and store the same bytes.
-//! * **It already holds the run** with equal offsets and CRCs: a resync
+//! * **It already holds the run** (the same records): a resync
 //!   copied it after the job was queued. It acknowledges without
 //!   appending (appending again would duplicate the run and shift every
 //!   later offset on the replica).
@@ -248,7 +248,7 @@ mod tests {
             let event = Event::from_bytes(tag.as_bytes().to_vec());
             let batch = Arc::new(RecordBatch::new(vec![event]));
             let now = Timestamp::from_millis(0);
-            let run = self.log.append_deferred(&batch, now, true).unwrap().run.expect("asked for");
+            let run = self.log.append_deferred(&batch, now).unwrap().run;
             ReplicationJob {
                 leader: BrokerId(0),
                 topic: "t".to_string(),
